@@ -137,21 +137,10 @@ class MeanFieldBackend : public Backend
         if (_n > 64)
             sim::fatal("64-bit sample words cap the register at 64 "
                        "qubits");
-        // Identical draw order to MeanFieldSampler::sample, so the
-        // two paths consume the same RNG stream.
         std::vector<double> p1(_n);
         for (std::uint32_t q = 0; q < _n; ++q)
             p1[q] = (1.0 - _bloch[q][2]) / 2.0;
-        std::vector<std::uint64_t> out(shots, 0);
-        for (std::size_t s = 0; s < shots; ++s) {
-            std::uint64_t bits = 0;
-            for (std::uint32_t q = 0; q < _n; ++q) {
-                if (rng.coin(p1[q]))
-                    bits |= std::uint64_t(1) << q;
-            }
-            out[s] = bits;
-        }
-        return out;
+        return sampleProductShots(p1, shots, rng);
     }
 
     double

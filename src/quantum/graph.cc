@@ -1,5 +1,8 @@
 #include "graph.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace qtenon::quantum {
@@ -15,6 +18,18 @@ Graph::addEdge(std::uint32_t u, std::uint32_t v)
     if (hasEdge(u, v))
         sim::fatal("duplicate edge (", u, ",", v, ")");
     _edges.push_back({u, v});
+
+    const std::uint32_t lo = std::min(u, v);
+    const std::uint32_t d = std::max(u, v) - lo;
+    if (lo + d >= 64) {
+        _wide = true;
+        return;
+    }
+    auto it = std::find_if(_spans.begin(), _spans.end(),
+                           [d](const SpanMask &m) { return m.d == d; });
+    if (it == _spans.end())
+        it = _spans.insert(_spans.end(), SpanMask{d, 0});
+    it->mask |= std::uint64_t(1) << lo;
 }
 
 bool
@@ -30,13 +45,11 @@ Graph::hasEdge(std::uint32_t u, std::uint32_t v) const
 std::uint64_t
 Graph::cutValue(std::uint64_t bits) const
 {
+    if (_wide)
+        sim::fatal("64-bit assignment words cap cut edges at node 63");
     std::uint64_t cut = 0;
-    for (const auto &e : _edges) {
-        const bool su = bits & (std::uint64_t(1) << e.u);
-        const bool sv = bits & (std::uint64_t(1) << e.v);
-        if (su != sv)
-            ++cut;
-    }
+    for (const auto &m : _spans)
+        cut += std::popcount((bits ^ (bits >> m.d)) & m.mask);
     return cut;
 }
 

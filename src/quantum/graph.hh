@@ -34,7 +34,12 @@ class Graph
 
     bool hasEdge(std::uint32_t u, std::uint32_t v) const;
 
-    /** Cut value of the 0/1 node assignment encoded in @p bits. */
+    /**
+     * Cut value of the 0/1 node assignment encoded in @p bits (edges
+     * on nodes 0..63): one popcount per distinct edge span d,
+     * popcount((bits ^ (bits >> d)) & mask_d), where mask_d holds the
+     * lower endpoint of every edge spanning d.
+     */
     std::uint64_t cutValue(std::uint64_t bits) const;
 
     /** Exhaustive MAX-CUT (only feasible for small n). */
@@ -54,8 +59,17 @@ class Graph
     static Graph erdosRenyi(std::uint32_t n, double p, sim::Rng &rng);
 
   private:
+    /** The lower endpoints of every edge spanning @c d nodes. */
+    struct SpanMask {
+        std::uint32_t d;
+        std::uint64_t mask;
+    };
+
     std::uint32_t _numNodes;
     std::vector<Edge> _edges;
+    std::vector<SpanMask> _spans;
+    /** Whether some edge lies beyond a 64-bit assignment word. */
+    bool _wide = false;
 };
 
 } // namespace qtenon::quantum

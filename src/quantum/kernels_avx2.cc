@@ -1,11 +1,11 @@
 /**
  * @file
  * AVX2 instantiation of the statevector slab kernels. This is the
- * only translation unit compiled with -mavx2 (see the per-source
- * COMPILE_OPTIONS in CMakeLists.txt); activeKernels() only hands out
- * this table after __builtin_cpu_supports("avx2") says the running
- * CPU can execute it, so building it never constrains where the
- * binary runs.
+ * only src/quantum translation unit compiled with -mavx2 (see the
+ * per-source COMPILE_OPTIONS in CMakeLists.txt); activeKernels() only
+ * hands out this table after __builtin_cpu_supports("avx2") says the
+ * running CPU can execute it, so building it never constrains where
+ * the binary runs.
  */
 
 #ifndef __AVX2__

@@ -110,6 +110,17 @@ Hamiltonian::addTerm(double coefficient, PauliString string)
         _identityOffset += coefficient;
         return;
     }
+    if (string.isDiagonal()) {
+        // XOR, so a qubit named twice cancels as Z.Z = I does.
+        std::uint64_t mask = 0;
+        for (const auto &f : string.factors) {
+            if (f.qubit >= 64)
+                _wideZ = true;
+            else
+                mask ^= std::uint64_t(1) << f.qubit;
+        }
+        _zTerms.push_back({coefficient, mask});
+    }
     _terms.push_back({coefficient, std::move(string)});
 }
 
@@ -173,13 +184,15 @@ Hamiltonian::diagonalExpectationFromShots(
 {
     if (shots.empty())
         return _identityOffset;
+    if (_wideZ)
+        sim::fatal("64-bit shot words cap Z factors at qubit 63");
+    const auto n = static_cast<std::int64_t>(shots.size());
     double e = 0.0;
-    for (const auto &t : _terms) {
-        if (!t.string.isDiagonal())
-            continue;
-        double sum = 0.0;
+    for (const auto &t : _zTerms) {
+        std::int64_t odd = 0;
         for (auto s : shots)
-            sum += t.string.diagonalEigenvalue(s);
+            odd += __builtin_parityll(s & t.zMask);
+        const auto sum = static_cast<double>(n - 2 * odd);
         e += t.coefficient * sum / static_cast<double>(shots.size());
     }
     return e + _identityOffset;

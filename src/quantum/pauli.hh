@@ -73,7 +73,10 @@ class Hamiltonian
     /**
      * Estimate the expectation from diagonal-basis measurement shots
      * (ignores non-diagonal terms; the VQA layer measures each
-     * non-diagonal group in a rotated basis separately).
+     * non-diagonal group in a rotated basis separately). Each term's
+     * eigenvalue sum is counted as N - 2 * (odd parities of its Z
+     * mask), an integer below 2^53, so the result is bit-identical
+     * to summing the +1/-1 eigenvalues one shot at a time.
      */
     double diagonalExpectationFromShots(
         const std::vector<std::uint64_t> &shots) const;
@@ -88,8 +91,18 @@ class Hamiltonian
      */
     double termExpectation(const Term &t, const StateVector &sv) const;
 
+    /** A diagonal term: its qubits' parity under zMask is its sign. */
+    struct ZTerm {
+        double coefficient;
+        std::uint64_t zMask;
+    };
+
     std::uint32_t _numQubits;
     std::vector<Term> _terms;
+    /** The diagonal subset of _terms, in order, for shot estimates. */
+    std::vector<ZTerm> _zTerms;
+    /** Whether some Z factor lies beyond a 64-bit shot word. */
+    bool _wideZ = false;
     double _identityOffset = 0.0;
 };
 

@@ -193,17 +193,7 @@ MeanFieldSampler::sample(const QuantumCircuit &c, std::size_t shots,
     std::vector<double> p1(c.numQubits());
     for (std::uint32_t q = 0; q < c.numQubits(); ++q)
         p1[q] = (1.0 - bloch[q][2]) / 2.0;
-
-    std::vector<std::uint64_t> out(shots, 0);
-    for (std::size_t s = 0; s < shots; ++s) {
-        std::uint64_t bits = 0;
-        for (std::uint32_t q = 0; q < c.numQubits(); ++q) {
-            if (rng.coin(p1[q]))
-                bits |= std::uint64_t(1) << q;
-        }
-        out[s] = bits;
-    }
-    return out;
+    return sampleProductShots(p1, shots, rng);
 }
 
 double
@@ -266,12 +256,10 @@ NoisyReadoutSampler::sample(const QuantumCircuit &c, std::size_t shots,
     auto out = _inner->sample(c, shots, rng);
     if (_flip == 0.0)
         return out;
-    for (auto &word : out) {
-        for (std::uint32_t q = 0; q < c.numQubits(); ++q) {
-            if (rng.coin(_flip))
-                word ^= std::uint64_t(1) << q;
-        }
-    }
+    const auto flips = sampleProductShots(
+        std::vector<double>(c.numQubits(), _flip), out.size(), rng);
+    for (std::size_t s = 0; s < out.size(); ++s)
+        out[s] ^= flips[s];
     return out;
 }
 
@@ -281,6 +269,31 @@ NoisyReadoutSampler::marginalOne(const QuantumCircuit &c,
 {
     const double p = _inner->marginalOne(c, q);
     return p * (1.0 - _flip) + (1.0 - p) * _flip;
+}
+
+std::vector<std::uint64_t>
+sampleProductShots(const std::vector<double> &p1, std::size_t shots,
+                   sim::Rng &rng)
+{
+    const std::size_t n = p1.size();
+    if (n > 64)
+        sim::fatal("64-bit sample words cap the register at 64 qubits");
+    std::array<std::uint64_t, 64> below{};
+    std::uint64_t always = 0;
+    for (std::size_t q = 0; q < n; ++q) {
+        const auto t = sim::Rng::coinThreshold(p1[q]);
+        below[q] = t.below;
+        always |= std::uint64_t(t.always) << q;
+    }
+
+    std::vector<std::uint64_t> out(shots);
+    for (auto &word : out) {
+        std::uint64_t bits = always;
+        for (std::size_t q = 0; q < n; ++q)
+            bits |= std::uint64_t(rng.raw() < below[q]) << q;
+        word = bits;
+    }
+    return out;
 }
 
 std::unique_ptr<MeasurementSampler>

@@ -171,6 +171,16 @@ class NoisyReadoutSampler : public MeasurementSampler
 };
 
 /**
+ * Draw @p shots product-state measurement words: bit q of each word
+ * reads 1 with probability p1[q] (p1.size() <= 64). Bit-identical to
+ * calling rng.coin(p1[q]) per shot, per qubit in turn - the same
+ * draws in the same order - but each coin is an integer compare of
+ * one raw draw against a threshold computed once per call.
+ */
+std::vector<std::uint64_t> sampleProductShots(
+    const std::vector<double> &p1, std::size_t shots, sim::Rng &rng);
+
+/**
  * Build a sampler through the backend selection policy (see
  * resolveBackendKind): exact statevector when the register fits under
  * cfg.exactCap, mean-field above it, or whatever cfg.kind forces. A

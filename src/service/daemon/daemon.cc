@@ -367,13 +367,15 @@ Daemon::handleSubmit(const std::shared_ptr<Connection> &conn,
     if (_cache.enabled()) {
         if (auto bytes = _cache.lookup(pending.key)) {
             obs::ScopedSpan span("daemon.serve.hit", "daemon");
-            sendResult(*conn, id, "hit", pending.key, *bytes);
+            // Count before replying, so a stats request sent after
+            // the reply always sees this one.
             {
                 std::lock_guard<std::mutex> lock(_statsMutex);
                 ++_served;
             }
             dmetrics().served.inc();
             recordLatency(received);
+            sendResult(*conn, id, "hit", pending.key, *bytes);
             return;
         }
     }
@@ -446,6 +448,15 @@ Daemon::submitterLoop()
         if (r.status == JobStatus::Ok)
             _cache.insert(p.key, bytes);
 
+        // Bookkeeping before the reply, so a client that has its
+        // result also sees it in stats and has its quota back.
+        {
+            std::lock_guard<std::mutex> lock(_statsMutex);
+            ++_served;
+        }
+        dmetrics().served.inc();
+        recordLatency(p.received);
+        _queue.release(p.client);
         if (p.conn->open.load()) {
             try {
                 sendResult(*p.conn, p.requestId, "miss", p.key,
@@ -454,13 +465,6 @@ Daemon::submitterLoop()
                 // Client went away; the result is still cached.
             }
         }
-        {
-            std::lock_guard<std::mutex> lock(_statsMutex);
-            ++_served;
-        }
-        dmetrics().served.inc();
-        recordLatency(p.received);
-        _queue.release(p.client);
         p = Pending{};
     }
 }

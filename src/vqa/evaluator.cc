@@ -1,5 +1,6 @@
 #include "evaluator.hh"
 
+#include "quantum/sampler.hh"
 #include "sim/logging.hh"
 
 namespace qtenon::vqa {
@@ -27,13 +28,11 @@ CostEvaluator::sampleWithReadout()
     auto out = _backend->sample(_cfg.shots, _rng);
     const auto n = _backend->numQubits();
     if (_cfg.readoutError > 0.0) {
-        // Same flip order as NoisyReadoutSampler: per word, per qubit.
-        for (auto &word : out) {
-            for (std::uint32_t q = 0; q < n; ++q) {
-                if (_rng.coin(_cfg.readoutError))
-                    word ^= std::uint64_t(1) << q;
-            }
-        }
+        // Same flips, in the same order, as NoisyReadoutSampler.
+        const auto flips = quantum::sampleProductShots(
+            std::vector<double>(n, _cfg.readoutError), out.size(), _rng);
+        for (std::size_t s = 0; s < out.size(); ++s)
+            out[s] ^= flips[s];
     }
     if (_flipRate > 0.0) {
         // Injected flips draw from the injector's "readout" stream,
