@@ -261,6 +261,34 @@ BM_TileLinkTransaction(benchmark::State &state)
 BENCHMARK(BM_TileLinkTransaction);
 
 static void
+BM_EventQueueScheduleFire(benchmark::State &state)
+{
+    // Schedule range(0) one-shot lambdas with 40-byte captures on
+    // colliding ticks, then fire them all: the per-event cost of the
+    // timing replay's queue, apart from any model work.
+    const auto batch = static_cast<std::uint64_t>(state.range(0));
+    sim::EventQueue eq;
+    std::uint64_t sink = 0;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        const sim::Tick now = eq.curTick();
+        for (std::uint64_t k = 0; k < batch; ++k, ++i) {
+            struct {
+                std::uint64_t a, b, c, d;
+                std::uint64_t *out;
+            } cap{i, i ^ now, i + k, k, &sink};
+            eq.scheduleLambda(now + (i * 7) % 16,
+                              [cap] { *cap.out += cap.a ^ cap.b ^
+                                                  cap.c ^ cap.d; });
+        }
+        eq.run();
+        benchmark::DoNotOptimize(sink);
+    }
+    state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_EventQueueScheduleFire)->Arg(1)->Arg(64);
+
+static void
 BM_ProgramEntryPack(benchmark::State &state)
 {
     controller::ProgramEntry e;

@@ -40,6 +40,12 @@ class MemoryBarrier
             return;
         std::uint64_t lo = addr;
         std::uint64_t hi = addr + size;
+        // Already covered (the common case once a round's PUTs have
+        // synced the range): merging would rebuild the same interval,
+        // since stored intervals never touch their neighbours.
+        auto cover = _synced.upper_bound(lo);
+        if (cover != _synced.begin() && std::prev(cover)->second >= hi)
+            return;
         // Merge with overlapping/adjacent intervals.
         auto it = _synced.lower_bound(lo);
         if (it != _synced.begin()) {

@@ -185,10 +185,30 @@ QuantumController::barrierQuery(std::uint64_t host_addr,
     return _barrier.query(host_addr, size);
 }
 
+std::uint32_t
+QuantumController::startDma(std::uint64_t chunks, DoneCallback done)
+{
+    const std::uint32_t op = _dmaOps.acquire();
+    DmaOp &o = _dmaOps[op];
+    o.remaining = chunks;
+    o.latest = 0;
+    o.done = std::move(done);
+    return op;
+}
+
+void
+QuantumController::finishDma(std::uint32_t op, sim::Tick fin)
+{
+    // Free the slot first: the callback may start another transfer.
+    DoneCallback done = std::move(_dmaOps[op].done);
+    _dmaOps.release(op);
+    done(fin);
+}
+
 void
 QuantumController::dmaSetProgram(std::uint64_t host_addr,
                                  std::uint32_t qubit,
-                                 std::vector<ProgramEntry> entries,
+                                 const std::vector<ProgramEntry> &entries,
                                  DoneCallback done)
 {
     const auto &layout = _cfg.layout;
@@ -213,11 +233,11 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
     const std::uint64_t num_chunks =
         std::max<std::uint64_t>(1, (total_bytes + chunk - 1) / chunk);
 
-    // Install functionally now; timing is carried by the bus events.
-    auto shared_entries =
-        std::make_shared<std::vector<ProgramEntry>>(std::move(entries));
-    auto remaining = std::make_shared<std::uint64_t>(num_chunks);
-    auto cb = std::make_shared<DoneCallback>(std::move(done));
+    // The entries are installed when the last chunk has arrived; the
+    // slot's vector keeps its capacity from one transfer to the next.
+    const std::uint32_t op = startDma(num_chunks, std::move(done));
+    _dmaOps[op].qubit = qubit;
+    _dmaOps[op].entries.assign(entries.begin(), entries.end());
 
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
         memory::MemPacket pkt;
@@ -227,8 +247,7 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
             std::min<std::uint64_t>(chunk, total_bytes - c * chunk));
 
         _bus->accessTagged(pkt,
-            [this, shared_entries, remaining, cb, qubit,
-             num_chunks](const memory::BusResponse &resp) {
+            [this, op](const memory::BusResponse &resp) {
                 _rbq.arrive(resp.tag, resp,
                     [this](std::uint8_t,
                            const memory::BusResponse &r) {
@@ -253,25 +272,23 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
                             wq_wait.record(start - r.completed);
                         }
                     });
-                if (--(*remaining) == 0) {
-                    // Install entries and finish when the WBQ drains.
-                    const auto &layout = _cfg.layout;
-                    for (std::size_t i = 0;
-                         i < shared_entries->size(); ++i) {
-                        _qcc->writeProgram(
-                            layout.programAddr(
-                                qubit,
-                                static_cast<std::uint32_t>(i)),
-                            (*shared_entries)[i]);
-                    }
-                    _qcc->setProgramLength(
-                        qubit, static_cast<std::uint32_t>(
-                                   shared_entries->size()));
-                    const sim::Tick fin =
-                        std::max(curTick(), _wbqDrainFree);
-                    eventq().scheduleLambda(fin,
-                        [cb, fin] { (*cb)(fin); }, "q_set done");
+                DmaOp &o = _dmaOps[op];
+                if (--o.remaining != 0)
+                    return;
+                // Install entries and finish when the WBQ drains.
+                const auto &layout = _cfg.layout;
+                for (std::size_t i = 0; i < o.entries.size(); ++i) {
+                    _qcc->writeProgram(
+                        layout.programAddr(
+                            o.qubit, static_cast<std::uint32_t>(i)),
+                        o.entries[i]);
                 }
+                _qcc->setProgramLength(
+                    o.qubit, static_cast<std::uint32_t>(o.entries.size()));
+                const sim::Tick fin = std::max(curTick(), _wbqDrainFree);
+                eventq().scheduleLambda(fin,
+                    [this, op, fin] { finishDma(op, fin); },
+                    "q_set done");
             },
             [this](std::uint8_t tag, sim::Tick) {
                 _rbq.expect(tag);
@@ -308,9 +325,7 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
     const std::uint32_t chunk = _cfg.dmaChunkBytes;
     const std::uint64_t num_chunks =
         std::max<std::uint64_t>(1, (total_bytes + chunk - 1) / chunk);
-    auto remaining = std::make_shared<std::uint64_t>(num_chunks);
-    auto latest = std::make_shared<sim::Tick>(0);
-    auto cb = std::make_shared<DoneCallback>(std::move(done));
+    const std::uint32_t op = startDma(num_chunks, std::move(done));
 
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
         memory::MemPacket pkt;
@@ -320,15 +335,17 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
             std::min<std::uint64_t>(chunk, total_bytes - c * chunk));
 
         _bus->accessTagged(pkt,
-            [remaining, latest, cb](const memory::BusResponse &resp) {
-                *latest = std::max(*latest, resp.completed);
-                if (--(*remaining) == 0)
-                    (*cb)(*latest);
+            [this, op](const memory::BusResponse &resp) {
+                DmaOp &o = _dmaOps[op];
+                o.latest = std::max(o.latest, resp.completed);
+                if (--o.remaining == 0)
+                    finishDma(op, o.latest);
             },
-            [this, pkt](std::uint8_t, sim::Tick) {
+            [this, addr = pkt.addr, size = pkt.size](std::uint8_t,
+                                                     sim::Tick) {
                 // The barrier goes valid once the PUT has been sent
                 // through the system bus (Sec. 6.2).
-                _barrier.markSynced(pkt.addr, pkt.size);
+                _barrier.markSynced(addr, size);
             });
     }
 }

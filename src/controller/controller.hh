@@ -26,6 +26,8 @@
 #include "pipeline.hh"
 #include "qcc.hh"
 #include "rbq.hh"
+#include "sim/inline_fn.hh"
+#include "sim/slot_pool.hh"
 #include "slt.hh"
 #include "wbq.hh"
 
@@ -48,7 +50,7 @@ struct ControllerConfig {
 };
 
 /** Completion callback carrying the finish tick. */
-using DoneCallback = std::function<void(sim::Tick)>;
+using DoneCallback = sim::InlineFn<void(sim::Tick)>;
 
 /** The controller proper. */
 class QuantumController : public sim::Clocked
@@ -124,7 +126,7 @@ class QuantumController : public sim::Clocked
      * SRAM at one 32-bit word per SRAM cycle.
      */
     void dmaSetProgram(std::uint64_t host_addr, std::uint32_t qubit,
-                       std::vector<ProgramEntry> entries,
+                       const std::vector<ProgramEntry> &entries,
                        DoneCallback done);
 
     /**
@@ -173,6 +175,22 @@ class QuantumController : public sim::Clocked
     /// @}
 
   private:
+    /** One q_set or q_acquire between issue and its last response. */
+    struct DmaOp {
+        std::uint64_t remaining = 0;
+        sim::Tick latest = 0;
+        DoneCallback done;
+        /** q_set only: the entries installed at the last response. */
+        std::uint32_t qubit = 0;
+        std::vector<ProgramEntry> entries;
+    };
+
+    /** Take a DmaOp slot for @p chunks responses ending in @p done. */
+    std::uint32_t startDma(std::uint64_t chunks, DoneCallback done);
+
+    /** Free DMA slot @p op and invoke its callback with @p fin. */
+    void finishDma(std::uint32_t op, sim::Tick fin);
+
     /** Flush q_gen obs counters and emit per-stage trace spans. */
     void observeGenerate(const PipelineResult &result, sim::Tick fin);
 
@@ -194,6 +212,7 @@ class QuantumController : public sim::Clocked
         _regfileLinks;
     /** Program entries invalidated by q_update since the last q_gen. */
     std::vector<std::uint64_t> _stale;
+    sim::SlotPool<DmaOp> _dmaOps;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;
 };

@@ -15,11 +15,8 @@ QuantumControllerCache::QuantumControllerCache(sim::EventQueue &eq,
 {
     const auto n_prog =
         std::uint64_t(_layout.numQubits) * _layout.programEntriesPerQubit;
-    const auto n_pulse =
-        std::uint64_t(_layout.numQubits) * _layout.pulseEntriesPerQubit;
     _program.assign(n_prog, ProgramEntry{});
-    _pulse.assign(n_pulse, PulseEntry{});
-    _pulseValid.assign(n_pulse, false);
+    _pulse.resize(_layout.numQubits);
     _measure.assign(_layout.measureEntries, 0);
     _regfile.assign(_layout.regfileEntries, 0);
     _programLength.assign(_layout.numQubits, 0);
@@ -99,10 +96,21 @@ QuantumControllerCache::setProgramLength(std::uint32_t qubit,
     _programLength[qubit] = len;
 }
 
+const QuantumControllerCache::PulseSlot *
+QuantumControllerCache::findPulse(std::uint64_t qaddr) const
+{
+    const auto idx = pulseIndex(qaddr);
+    const auto &chunk = _pulse[idx / _layout.pulseEntriesPerQubit];
+    const auto entry = idx % _layout.pulseEntriesPerQubit;
+    return entry < chunk.size() ? &chunk[entry] : nullptr;
+}
+
 const PulseEntry &
 QuantumControllerCache::readPulse(std::uint64_t qaddr) const
 {
-    return _pulse[pulseIndex(qaddr)];
+    static const PulseEntry zero{};
+    const auto *slot = findPulse(qaddr);
+    return slot ? slot->data : zero;
 }
 
 void
@@ -116,14 +124,18 @@ QuantumControllerCache::writePulse(std::uint64_t qaddr,
         c.inc();
     }
     const auto idx = pulseIndex(qaddr);
-    _pulse[idx] = p;
-    _pulseValid[idx] = true;
+    auto &chunk = _pulse[idx / _layout.pulseEntriesPerQubit];
+    const auto entry = idx % _layout.pulseEntriesPerQubit;
+    if (entry >= chunk.size())
+        chunk.resize(entry + 1);
+    chunk[entry] = PulseSlot{p, true};
 }
 
 bool
 QuantumControllerCache::pulseValid(std::uint64_t qaddr) const
 {
-    return _pulseValid[pulseIndex(qaddr)];
+    const auto *slot = findPulse(qaddr);
+    return slot && slot->valid;
 }
 
 std::uint64_t

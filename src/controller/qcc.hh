@@ -84,13 +84,28 @@ class QuantumControllerCache : public sim::Clocked
     sim::Scalar regfileWrites;
 
   private:
+    /** A .pulse entry and whether it has been written. */
+    struct PulseSlot {
+        PulseEntry data{};
+        bool valid = false;
+    };
+
     std::uint64_t programIndex(std::uint64_t qaddr) const;
     std::uint64_t pulseIndex(std::uint64_t qaddr) const;
 
+    /** The stored slot for @p qaddr, or null if it was never written. */
+    const PulseSlot *findPulse(std::uint64_t qaddr) const;
+
     memory::QccLayout _layout;
     std::vector<ProgramEntry> _program;
-    std::vector<PulseEntry> _pulse;
-    std::vector<bool> _pulseValid;
+    /**
+     * .pulse per qubit, grown on write up to the highest entry
+     * written: a program touches a few entries of each qubit's
+     * 1024-entry chunk, so zero-filling the whole segment (5 MB at
+     * 64 qubits) per system is wasted. Unwritten entries read as
+     * zero and invalid.
+     */
+    std::vector<std::vector<PulseSlot>> _pulse;
     std::vector<std::uint64_t> _measure;
     std::vector<std::uint32_t> _regfile;
     std::vector<std::uint32_t> _programLength;

@@ -1,7 +1,6 @@
 #include "cache.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/metrics.hh"
 #include "sim/logging.hh"
@@ -126,16 +125,39 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write,
     fill.cmd = MemCmd::Read;
     fill.addr = line_addr * _cfg.lineBytes;
     fill.size = _cfg.lineBytes;
-    const auto fill_cycles = _cfg.hitLatency + _cfg.fillLatency;
-    auto clock = _clock;
-    _downstream->access(fill,
-        [this, cb = std::move(on_complete), clock,
-         fill_cycles](sim::Tick down_done) {
-            const sim::Tick done =
-                down_done + clock.cyclesToTicks(fill_cycles);
-            eventq().scheduleLambda(done,
-                [cb, done] { cb(done); }, "cache fill");
-        });
+    const std::uint32_t slot = wait(std::move(on_complete), 1);
+    _downstream->access(fill, [this, slot](sim::Tick down_done) {
+        const sim::Tick done = down_done +
+            _clock.cyclesToTicks(_cfg.hitLatency + _cfg.fillLatency);
+        eventq().scheduleLambda(done,
+            [this, slot, done] { complete(slot, done); }, "cache fill");
+    });
+}
+
+std::uint32_t
+Cache::wait(MemCallback cb, std::uint64_t parts)
+{
+    const std::uint32_t slot = _waiters.acquire();
+    Waiter &w = _waiters[slot];
+    w.cb = std::move(cb);
+    w.remaining = parts;
+    w.latest = 0;
+    return slot;
+}
+
+void
+Cache::complete(std::uint32_t slot, sim::Tick done)
+{
+    Waiter &w = _waiters[slot];
+    w.latest = std::max(w.latest, done);
+    if (--w.remaining != 0)
+        return;
+    // Free the slot before the callback, which may issue new
+    // accesses (and so acquire slots) of its own.
+    MemCallback cb = std::move(w.cb);
+    const sim::Tick latest = w.latest;
+    _waiters.release(slot);
+    cb(latest);
 }
 
 void
@@ -151,16 +173,10 @@ Cache::access(const MemPacket &pkt, MemCallback on_complete)
     }
 
     // Multi-line request: complete when the slowest line completes.
-    auto remaining = std::make_shared<std::uint64_t>(count);
-    auto latest = std::make_shared<sim::Tick>(0);
-    auto cb = std::make_shared<MemCallback>(std::move(on_complete));
+    const std::uint32_t slot = wait(std::move(on_complete), count);
     for (auto line = first; line <= last; ++line) {
         accessLine(line, pkt.isWrite(),
-            [remaining, latest, cb](sim::Tick done) {
-                *latest = std::max(*latest, done);
-                if (--(*remaining) == 0)
-                    (*cb)(*latest);
-            });
+            [this, slot](sim::Tick done) { complete(slot, done); });
     }
 }
 

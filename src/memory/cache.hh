@@ -12,6 +12,7 @@
 
 #include "packet.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_pool.hh"
 
 namespace qtenon::memory {
 
@@ -92,6 +93,23 @@ class Cache : public sim::SimObject, public MemDevice
     /** Find a victim way in @p set (LRU, invalid first). */
     std::uint32_t victimWay(std::uint32_t set) const;
 
+    /**
+     * A requester's callback waiting on @p parts completions (line
+     * fills, or the lines of a multi-line access); it fires with the
+     * latest of them.
+     */
+    struct Waiter {
+        MemCallback cb;
+        std::uint64_t remaining = 0;
+        sim::Tick latest = 0;
+    };
+
+    /** Park @p cb until @p parts completions arrive; returns its slot. */
+    std::uint32_t wait(MemCallback cb, std::uint64_t parts);
+
+    /** One completion at @p done for waiter @p slot. */
+    void complete(std::uint32_t slot, sim::Tick done);
+
     sim::ClockDomain _clock;
     CacheConfig _cfg;
     MemDevice *_downstream;
@@ -99,6 +117,7 @@ class Cache : public sim::SimObject, public MemDevice
     std::vector<Line> _lines; // set-major [set * assoc + way]
     std::uint64_t _useCounter = 0;
     sim::Tick _portFree = 0;
+    sim::SlotPool<Waiter> _waiters;
 };
 
 } // namespace qtenon::memory

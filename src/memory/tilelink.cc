@@ -115,9 +115,13 @@ TileLinkBus::observeTransaction(const MemPacket &pkt,
 void
 TileLinkBus::tryIssue()
 {
-    while (!_waiting.empty() && _freeTagMask != 0) {
-        Pending p = std::move(_waiting.front());
-        _waiting.pop_front();
+    while (_waitingHead < _waiting.size() && _freeTagMask != 0) {
+        Pending p = std::move(_waiting[_waitingHead++]);
+        if (_waitingHead == _waiting.size()) {
+            // Drained: rewind, keeping the capacity.
+            _waiting.clear();
+            _waitingHead = 0;
+        }
 
         const std::uint8_t tag = allocateTag();
         tagOccupancy.sample(
@@ -152,64 +156,72 @@ TileLinkBus::tryIssue()
         const sim::Tick arrive = _requestChannelFree +
             clockDomain().cyclesToTicks(_cfg.channelLatency);
 
-        issueDownstream(std::make_shared<Pending>(std::move(p)), tag,
-                        now, arrive, 1);
+        InFlight &f = _inFlight[tag];
+        f.pkt = p.pkt;
+        f.cb = std::move(p.cb);
+        f.issued = now;
+        f.attempt = 1;
+        issueDownstream(tag, arrive);
     }
 }
 
 void
-TileLinkBus::issueDownstream(std::shared_ptr<Pending> p,
-                             std::uint8_t tag, sim::Tick issued,
-                             sim::Tick arrive, std::uint32_t attempt)
+TileLinkBus::issueDownstream(std::uint8_t tag, sim::Tick arrive)
 {
     // Hand the request to the downstream device once it has fully
     // crossed the request channel.
     eventq().scheduleLambda(arrive,
-        [this, p, tag, issued, attempt] {
-            MemPacket pkt = p->pkt;
-            _downstream->access(pkt,
-                [this, p, pkt, tag, issued,
-                 attempt](sim::Tick down_done) {
-                    const sim::Tick done = down_done +
-                        clockDomain().cyclesToTicks(
-                            _cfg.channelLatency);
-                    auto *inj = _port->injector();
-                    const fault::SiteId site = _port->siteId();
-                    if (inj && inj->active(site) &&
-                        inj->shouldError(site)) {
-                        if (attempt <
-                            std::max(1u, _retry.maxAttempts)) {
-                            inj->count(site, "retries");
-                            const sim::Tick backoff =
-                                _retry.backoffBefore(
-                                    attempt, issued ^ tag);
-                            issueDownstream(p, tag, issued,
-                                            done + backoff,
-                                            attempt + 1);
-                            return;
-                        }
-                        // Budget spent: deliver the (errored)
-                        // response rather than wedge the tag.
-                        inj->count(site, "retry_exhausted");
-                    }
-                    eventq().scheduleLambda(done,
-                        [this, p, pkt, tag, issued, done] {
-                            ++transactions;
-                            observeTransaction(pkt, tag, issued,
-                                               done);
-                            _freeTagMask |= (1u << tag);
-                            BusResponse r;
-                            r.tag = tag;
-                            r.issued = issued;
-                            r.completed = done;
-                            r.pkt = pkt;
-                            p->cb(r);
-                            tryIssue();
-                        },
-                        "bus response");
-                });
+        [this, tag] {
+            const MemPacket pkt = _inFlight[tag].pkt;
+            _downstream->access(pkt, [this, tag](sim::Tick down_done) {
+                downstreamDone(tag, down_done);
+            });
         },
         "bus request");
+}
+
+void
+TileLinkBus::downstreamDone(std::uint8_t tag, sim::Tick down_done)
+{
+    InFlight &f = _inFlight[tag];
+    const sim::Tick done =
+        down_done + clockDomain().cyclesToTicks(_cfg.channelLatency);
+    auto *inj = _port->injector();
+    const fault::SiteId site = _port->siteId();
+    if (inj && inj->active(site) && inj->shouldError(site)) {
+        if (f.attempt < std::max(1u, _retry.maxAttempts)) {
+            inj->count(site, "retries");
+            const sim::Tick backoff =
+                _retry.backoffBefore(f.attempt, f.issued ^ tag);
+            ++f.attempt;
+            issueDownstream(tag, done + backoff);
+            return;
+        }
+        // Budget spent: deliver the (errored) response rather than
+        // wedge the tag.
+        inj->count(site, "retry_exhausted");
+    }
+    eventq().scheduleLambda(done,
+        [this, tag, done] { respond(tag, done); }, "bus response");
+}
+
+void
+TileLinkBus::respond(std::uint8_t tag, sim::Tick done)
+{
+    InFlight &f = _inFlight[tag];
+    ++transactions;
+    observeTransaction(f.pkt, tag, f.issued, done);
+    _freeTagMask |= (1u << tag);
+    BusResponse r;
+    r.tag = tag;
+    r.issued = f.issued;
+    r.completed = done;
+    r.pkt = f.pkt;
+    // The callback may issue a new request onto the tag just freed,
+    // which overwrites the slot: take the callback out first.
+    TaggedCallback cb = std::move(f.cb);
+    cb(r);
+    tryIssue();
 }
 
 } // namespace qtenon::memory

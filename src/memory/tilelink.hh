@@ -12,14 +12,15 @@
 #ifndef QTENON_MEMORY_TILELINK_HH
 #define QTENON_MEMORY_TILELINK_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
+#include <vector>
 
 #include "fault/fault.hh"
 #include "link/channel.hh"
 #include "packet.hh"
+#include "sim/inline_fn.hh"
 #include "sim/sim_object.hh"
 
 namespace qtenon::memory {
@@ -51,9 +52,9 @@ struct BusResponse {
 class TileLinkBus : public sim::Clocked, public MemDevice
 {
   public:
-    using TaggedCallback = std::function<void(const BusResponse &)>;
+    using TaggedCallback = sim::InlineFn<void(const BusResponse &)>;
     /** Observer invoked when a tag is allocated (request leaves). */
-    using IssueCallback = std::function<void(std::uint8_t tag,
+    using IssueCallback = sim::InlineFn<void(std::uint8_t tag,
                                              sim::Tick when)>;
 
     TileLinkBus(sim::EventQueue &eq, std::string name,
@@ -102,23 +103,36 @@ class TileLinkBus : public sim::Clocked, public MemDevice
     sim::Average tagOccupancy;
 
   private:
+    /** A request waiting for a free tag. */
     struct Pending {
         MemPacket pkt;
         TaggedCallback cb;
         IssueCallback issueCb;
     };
 
+    /** The transaction holding a tag, from issue to response. */
+    struct InFlight {
+        MemPacket pkt;
+        TaggedCallback cb;
+        sim::Tick issued = 0;
+        std::uint32_t attempt = 0;
+    };
+
     void tryIssue();
     std::uint8_t allocateTag();
 
     /**
-     * Hand @p p to the downstream device at @p arrive; on an injected
-     * response error, re-issue (same tag) until the retry budget is
-     * spent.
+     * Hand the transaction on @p tag to the downstream device at
+     * @p arrive; on an injected response error, re-issue (same tag)
+     * until the retry budget is spent.
      */
-    void issueDownstream(std::shared_ptr<Pending> p, std::uint8_t tag,
-                         sim::Tick issued, sim::Tick arrive,
-                         std::uint32_t attempt);
+    void issueDownstream(std::uint8_t tag, sim::Tick arrive);
+
+    /** Downstream completion of the transaction on @p tag. */
+    void downstreamDone(std::uint8_t tag, sim::Tick down_done);
+
+    /** Deliver the response on @p tag at @p done and free the tag. */
+    void respond(std::uint8_t tag, sim::Tick done);
 
     /** Flush per-transaction obs metrics and emit its trace span. */
     void observeTransaction(const MemPacket &pkt, std::uint8_t tag,
@@ -127,7 +141,10 @@ class TileLinkBus : public sim::Clocked, public MemDevice
     TileLinkConfig _cfg;
     MemDevice *_downstream;
     std::uint32_t _freeTagMask;
-    std::deque<Pending> _waiting;
+    /** FIFO of tag-stalled requests: [_waitingHead, end). */
+    std::vector<Pending> _waiting;
+    std::size_t _waitingHead = 0;
+    std::array<InFlight, 32> _inFlight;
     sim::Tick _requestChannelFree = 0;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;

@@ -1,7 +1,6 @@
 #include "executor.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
@@ -124,18 +123,17 @@ QtenonExecutor::installProgram(const isa::ProgramImage &image)
     // q_set every qubit's program chunk; the transfers pipeline on
     // the system bus.
     const sim::Tick set_t0 = _eq.curTick();
-    auto remaining =
-        std::make_shared<std::uint32_t>(image.numQubits);
+    std::uint32_t remaining = image.numQubits;
     std::uint64_t host_off = 0;
     for (std::uint32_t q = 0; q < image.numQubits; ++q) {
         _ctrl.dmaSetProgram(
             _cfg.hostProgramBase + host_off, q, image.perQubit[q],
-            [remaining](sim::Tick) { --(*remaining); });
+            [&remaining](sim::Tick) { --remaining; });
         host_off += image.perQubit[q].size() *
             _ctrl.config().programEntryHostBytes;
     }
     drain();
-    if (*remaining != 0)
+    if (remaining != 0)
         sim::panic("q_set transfers did not drain");
     bd.commSet += _eq.curTick() - set_t0;
 
@@ -254,17 +252,18 @@ QtenonExecutor::executeRound(const RoundRecord &round,
             _ctrl.roccWrite(layout.regfileAddr(reg), val);
 
         const sim::Tick set_t0 = _eq.curTick();
-        auto remaining =
-            std::make_shared<std::uint32_t>(image.numQubits);
+        std::uint32_t remaining = image.numQubits;
         std::uint64_t host_off = 0;
         for (std::uint32_t q = 0; q < image.numQubits; ++q) {
             _ctrl.dmaSetProgram(
                 _cfg.hostProgramBase + host_off, q, image.perQubit[q],
-                [remaining](sim::Tick) { --(*remaining); });
+                [&remaining](sim::Tick) { --remaining; });
             host_off += image.perQubit[q].size() *
                 _ctrl.config().programEntryHostBytes;
         }
         drain();
+        if (remaining != 0)
+            sim::panic("q_set transfers did not drain");
         bd.commSet += _eq.curTick() - set_t0;
     }
 
@@ -297,8 +296,11 @@ QtenonExecutor::executeRound(const RoundRecord &round,
                : 1);
     const sim::Tick barrier_cycle = _ctrl.clockPeriod();
 
-    auto last_put_done = std::make_shared<sim::Tick>(run_start);
-    auto put_latency_sum = std::make_shared<sim::Tick>(0);
+    // Completion totals of this round's PUTs. Every PUT event and
+    // its transfer fire inside the drain() below, before these go
+    // out of scope.
+    sim::Tick last_put_done = run_start;
+    sim::Tick put_latency_sum = 0;
 
     sim::Tick host_free = _eq.curTick();
     std::uint64_t batch_shots = 0;
@@ -330,14 +332,12 @@ QtenonExecutor::executeRound(const RoundRecord &round,
                 batch_shots * words_per_shot);
             const auto addr = host_addr;
             _eq.scheduleLambda(put_time,
-                [this, addr, first, count, last_put_done,
-                 put_latency_sum, put_time] {
+                [this, addr, first, count, put_time,
+                 last = &last_put_done, sum = &put_latency_sum] {
                     _ctrl.dmaAcquire(addr, first, count,
-                        [last_put_done, put_latency_sum,
-                         put_time](sim::Tick done) {
-                            *last_put_done =
-                                std::max(*last_put_done, done);
-                            *put_latency_sum += done - put_time;
+                        [last, sum, put_time](sim::Tick done) {
+                            *last = std::max(*last, done);
+                            *sum += done - put_time;
                         });
                 },
                 "q_run batch PUT");
@@ -370,23 +370,23 @@ QtenonExecutor::executeRound(const RoundRecord &round,
     if (sw.sync == SyncPolicy::Fence) {
         // FENCE #1: host stalls until the quantum program and every
         // transmission retire, then post-processes everything.
-        const sim::Tick fence1 = std::max(quantum_end, *last_put_done);
-        bd.commAcquire += *put_latency_sum;
+        const sim::Tick fence1 = std::max(quantum_end, last_put_done);
+        bd.commAcquire += put_latency_sum;
         bd.host += post_ops_all;
         bd.hostBusy += post_ops_all;
         round_end = fence1 + post_ops_all;
     } else {
         // Fine-grained: only the non-overlapped transmission tail is
         // exposed on the critical path.
-        bd.commAcquire += *last_put_done > quantum_end
-            ? *last_put_done - quantum_end : 0;
+        bd.commAcquire += last_put_done > quantum_end
+            ? last_put_done - quantum_end : 0;
         bd.commAcquire += barrier_cycle;
         bd.hostBusy += post_ops_all;
         // Visible host time: post-processing overflow past the end of
         // quantum execution (the rest hides behind the shots).
         if (host_free > quantum_end)
             bd.host += host_free - quantum_end;
-        round_end = std::max({quantum_end, host_free, *last_put_done});
+        round_end = std::max({quantum_end, host_free, last_put_done});
     }
 
     // ---- Optimizer step.

@@ -1,94 +1,116 @@
 #include "event_queue.hh"
 
+#include <algorithm>
+
 #include "logging.hh"
 
 namespace qtenon::sim {
 
-Event::~Event()
+std::uint32_t
+EventQueue::acquire(Tick when, const char *desc)
 {
-    if (_scheduled && _queue)
-        _queue->deschedule(this);
-}
-
-EventQueue::~EventQueue()
-{
-    // Drain the heap, releasing auto-delete events that never fired.
-    while (!_heap.empty()) {
-        Entry e = _heap.top();
-        _heap.pop();
-        if (e.event->_scheduled && e.event->_sequence == e.sequence) {
-            e.event->_scheduled = false;
-            e.event->_queue = nullptr;
-            if (e.event->flaggedAutoDelete())
-                delete e.event;
-        }
-    }
-}
-
-void
-EventQueue::schedule(Event *ev, Tick when)
-{
-    if (ev->_scheduled)
-        panic("event '", ev->description(), "' scheduled twice");
     if (when < _curTick) {
-        panic("event '", ev->description(), "' scheduled in the past (",
-              when, " < ", _curTick, ")");
+        panic("event '", desc, "' scheduled in the past (", when, " < ",
+              _curTick, ")");
     }
+    if (_freeHead == EventHandle::noSlot) {
+        if (_slots > EventHandle::noSlot - chunkSize)
+            panic("event slab exhausted");
+        // Grow by one chunk and thread its records onto the free
+        // list in slot order.
+        _chunks.push_back(std::make_unique<Record[]>(chunkSize));
+        Record *chunk = _chunks.back().get();
+        for (std::uint32_t i = 0; i < chunkSize; ++i)
+            chunk[i].nextFree = (i + 1 < chunkSize)
+                ? _slots + i + 1 : EventHandle::noSlot;
+        _freeHead = _slots;
+        _slots += chunkSize;
+    }
+    const std::uint32_t slot = _freeHead;
+    _freeHead = record(slot).nextFree;
+    return slot;
+}
 
-    ev->_when = when;
-    ev->_sequence = _nextSequence++;
-    ev->_scheduled = true;
-    ev->_queue = this;
-    _heap.push(Entry{when, ev->priority(), ev->_sequence, ev});
+EventHandle
+EventQueue::push(std::uint32_t slot, Tick when, int priority)
+{
+    if (priority < minPriority || priority > maxPriority)
+        panic("event priority ", priority, " outside [", int(minPriority),
+              ", ", int(maxPriority), "]");
+    if (_nextSequence > sequenceMask)
+        panic("event sequence numbers exhausted");
+    const std::uint64_t seq = _nextSequence++;
+    record(slot).sequence = seq;
+    const auto band = static_cast<std::uint64_t>(priority - minPriority);
+    _heap.push_back(Entry{when, (band << sequenceBits) | seq, slot});
+    std::push_heap(_heap.begin(), _heap.end(), Later{});
     ++_live;
+    return EventHandle{slot, seq};
 }
 
 void
-EventQueue::deschedule(Event *ev)
+EventQueue::release(std::uint32_t slot)
 {
-    if (!ev->_scheduled)
-        panic("descheduling unscheduled event '", ev->description(), "'");
-    // Lazy deletion: mark the event unscheduled; the heap entry is
-    // discarded when it surfaces.
-    ev->_scheduled = false;
-    ev->_queue = nullptr;
+    Record &r = record(slot);
+    r.sequence = idle;
+    r.fn.reset();
+    r.nextFree = _freeHead;
+    _freeHead = slot;
+}
+
+bool
+EventQueue::scheduled(EventHandle h) const
+{
+    return h.slot < _slots && record(h.slot).sequence == h.generation;
+}
+
+bool
+EventQueue::deschedule(EventHandle h)
+{
+    if (!scheduled(h))
+        return false;
+    // The heap entry stays behind; prune() drops it when it surfaces
+    // because the slot no longer carries its sequence.
+    release(h.slot);
     --_live;
+    return true;
 }
 
 void
-EventQueue::reschedule(Event *ev, Tick when)
+EventQueue::prune() const
 {
-    if (ev->_scheduled)
-        deschedule(ev);
-    schedule(ev, when);
-}
-
-void
-EventQueue::scheduleLambda(Tick when, std::function<void()> fn,
-                           std::string desc, int priority)
-{
-    auto *ev = new LambdaEvent(std::move(fn), std::move(desc), priority);
-    ev->setAutoDelete(true);
-    schedule(ev, when);
-}
-
-void
-EventQueue::prune()
-{
-    while (!_heap.empty()) {
-        const Entry &e = _heap.top();
-        if (e.event->_scheduled && e.event->_sequence == e.sequence)
-            return;
-        _heap.pop();
+    while (!_heap.empty() &&
+           record(_heap.front().slot).sequence !=
+               _heap.front().sequence()) {
+        std::pop_heap(_heap.begin(), _heap.end(), Later{});
+        _heap.pop_back();
     }
 }
 
 Tick
 EventQueue::nextTick() const
 {
-    auto *self = const_cast<EventQueue *>(this);
-    self->prune();
-    return _heap.empty() ? maxTick : _heap.top().when;
+    prune();
+    return _heap.empty() ? maxTick : _heap.front().when;
+}
+
+void
+EventQueue::fire()
+{
+    const Entry e = _heap.front();
+    std::pop_heap(_heap.begin(), _heap.end(), Later{});
+    _heap.pop_back();
+    --_live;
+
+    // The handle goes stale before the callback runs; the record is
+    // recycled only after it returns, and chunks never move, so the
+    // callable may schedule (and grow the slab) while it executes.
+    Record &r = record(e.slot);
+    r.sequence = idle;
+    _curTick = e.when;
+    ++_processed;
+    r.fn();
+    release(e.slot);
 }
 
 bool
@@ -97,19 +119,7 @@ EventQueue::step()
     prune();
     if (_heap.empty())
         return false;
-
-    Entry e = _heap.top();
-    _heap.pop();
-    --_live;
-
-    Event *ev = e.event;
-    ev->_scheduled = false;
-    ev->_queue = nullptr;
-    _curTick = e.when;
-    ++_processed;
-    ev->process();
-    if (!ev->_scheduled && ev->flaggedAutoDelete())
-        delete ev;
+    fire();
     return true;
 }
 
@@ -121,11 +131,11 @@ EventQueue::run(Tick limit)
         prune();
         if (_heap.empty())
             break;
-        if (_heap.top().when > limit) {
+        if (_heap.front().when > limit) {
             _curTick = limit;
             break;
         }
-        step();
+        fire();
         ++fired;
     }
     if (_heap.empty() && limit != maxTick && _curTick < limit)

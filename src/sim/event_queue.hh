@@ -1,91 +1,42 @@
 /**
  * @file
- * Discrete-event simulation core: Event and EventQueue.
+ * Discrete-event simulation core: EventQueue.
  *
  * The queue orders events by tick; events scheduled for the same tick
  * fire in priority order, then in scheduling order (FIFO). This
  * mirrors the determinism guarantees of gem5's event queue, which the
  * cycle-level controller models rely on.
+ *
+ * Every event is a one-shot callback held in a queue-owned slab of
+ * records (DESIGN.md "Event core"). The callback lives inline in its
+ * record, records are recycled through a free list and never move
+ * while pending, and callers address them through generation-checked
+ * handles, so a handle that outlives its event is harmless.
  */
 
 #ifndef QTENON_SIM_EVENT_QUEUE_HH
 #define QTENON_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <string>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "inline_fn.hh"
 #include "types.hh"
 
 namespace qtenon::sim {
 
-class EventQueue;
-
 /**
- * A schedulable event. Subclass and override process(), or use
- * LambdaEvent for ad-hoc callbacks.
+ * Names one scheduled event. Becomes stale once the event fires or
+ * is descheduled; operations on a stale handle are checked no-ops.
  */
-class Event
-{
-  public:
-    /** Default priority bands, lower value fires first. */
-    enum Priority : int {
-        clockPrio = -10,
-        defaultPrio = 0,
-        statsPrio = 10,
-    };
+struct EventHandle {
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
 
-    explicit Event(int priority = defaultPrio) : _priority(priority) {}
-    virtual ~Event();
-
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
-
-    /** Called by the queue when the event fires. */
-    virtual void process() = 0;
-
-    /** Human-readable event description for tracing. */
-    virtual std::string description() const { return "generic event"; }
-
-    bool scheduled() const { return _scheduled; }
-    Tick when() const { return _when; }
-    int priority() const { return _priority; }
-
-    /**
-     * Whether the queue should delete the event after it fires or is
-     * descheduled. Defaults to false (owner-managed lifetime).
-     */
-    bool flaggedAutoDelete() const { return _autoDelete; }
-    void setAutoDelete(bool v) { _autoDelete = v; }
-
-  private:
-    friend class EventQueue;
-
-    Tick _when = 0;
-    std::uint64_t _sequence = 0;
-    int _priority;
-    bool _scheduled = false;
-    bool _autoDelete = false;
-    EventQueue *_queue = nullptr;
-};
-
-/** An event that invokes a stored callable. */
-class LambdaEvent : public Event
-{
-  public:
-    LambdaEvent(std::function<void()> fn, std::string desc = "lambda",
-                int priority = defaultPrio)
-        : Event(priority), _fn(std::move(fn)), _desc(std::move(desc))
-    {}
-
-    void process() override { _fn(); }
-    std::string description() const override { return _desc; }
-
-  private:
-    std::function<void()> _fn;
-    std::string _desc;
+    std::uint32_t slot = noSlot;
+    /** Sequence number of the event: unique, never reused. */
+    std::uint64_t generation = 0;
 };
 
 /**
@@ -96,8 +47,23 @@ class LambdaEvent : public Event
 class EventQueue
 {
   public:
+    /**
+     * Default priority bands, lower value fires first. Any priority
+     * in [minPriority, maxPriority] may be used.
+     */
+    enum Priority : int {
+        minPriority = -128,
+        clockPrio = -10,
+        defaultPrio = 0,
+        statsPrio = 10,
+        maxPriority = 127,
+    };
+
+    /** Captures up to this many bytes are stored without allocating. */
+    static constexpr std::size_t inlineCapacity = 48;
+    using Callback = InlineFn<void(), inlineCapacity>;
+
     EventQueue() = default;
-    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -105,22 +71,31 @@ class EventQueue
     /** Current simulated time. */
     Tick curTick() const { return _curTick; }
 
-    /** Schedule @p ev to fire at absolute tick @p when. */
-    void schedule(Event *ev, Tick when);
-
-    /** Remove a pending event from the queue. */
-    void deschedule(Event *ev);
-
-    /** Deschedule (if needed) and reschedule at a new time. */
-    void reschedule(Event *ev, Tick when);
+    /**
+     * Schedule the one-shot callable @p fn to fire at absolute tick
+     * @p when. @p desc (a string with static storage) names the event
+     * in diagnostics only.
+     */
+    template <typename F>
+    EventHandle
+    scheduleLambda(Tick when, F &&fn, const char *desc = "lambda",
+                   int priority = defaultPrio)
+    {
+        const std::uint32_t slot = acquire(when, desc);
+        Record &r = record(slot);
+        r.fn.emplace(std::forward<F>(fn));
+        return push(slot, when, priority);
+    }
 
     /**
-     * Convenience: schedule a one-shot callback that deletes itself
-     * after firing.
+     * Cancel the event named by @p h and destroy its callable.
+     * Returns false, doing nothing, if @p h is stale (the event
+     * already fired or was descheduled).
      */
-    void scheduleLambda(Tick when, std::function<void()> fn,
-                        std::string desc = "lambda",
-                        int priority = Event::defaultPrio);
+    bool deschedule(EventHandle h);
+
+    /** Whether @p h names a pending event. */
+    bool scheduled(EventHandle h) const;
 
     /** Whether any events are pending. */
     bool empty() const { return _live == 0; }
@@ -144,29 +119,68 @@ class EventQueue
     std::uint64_t eventsProcessed() const { return _processed; }
 
   private:
-    struct Entry {
-        Tick when;
-        int priority;
-        std::uint64_t sequence;
-        Event *event;
+    static constexpr std::uint64_t idle = ~std::uint64_t(0);
+    static constexpr std::uint32_t chunkBits = 8;
+    static constexpr std::uint32_t chunkSize = 1u << chunkBits;
+
+    /** One slab slot: a pending callback, or a free-list link. */
+    struct Record {
+        Callback fn;
+        /** Sequence of the pending event held here, or idle. */
+        std::uint64_t sequence = idle;
+        std::uint32_t nextFree = EventHandle::noSlot;
     };
 
-    struct EntryCompare {
+    /** Bits of Entry::order holding the sequence number. */
+    static constexpr unsigned sequenceBits = 56;
+    static constexpr std::uint64_t sequenceMask =
+        (std::uint64_t(1) << sequenceBits) - 1;
+
+    struct Entry {
+        Tick when;
+        /** Biased priority above the sequence: (priority, sequence)
+         *  compare as one integer. */
+        std::uint64_t order;
+        std::uint32_t slot;
+
+        std::uint64_t sequence() const { return order & sequenceMask; }
+    };
+
+    /** Heap order: "a fires after b", by (when, priority, sequence). */
+    struct Later {
         bool
         operator()(const Entry &a, const Entry &b) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.sequence > b.sequence;
+            return a.when != b.when ? a.when > b.when : a.order > b.order;
         }
     };
 
-    /** Pop stale (descheduled/rescheduled) heap entries. */
-    void prune();
+    Record &
+    record(std::uint32_t slot) const
+    {
+        return _chunks[slot >> chunkBits][slot & (chunkSize - 1)];
+    }
 
-    std::priority_queue<Entry, std::vector<Entry>, EntryCompare> _heap;
+    /** Check @p when and take a free slot (growing the slab). */
+    std::uint32_t acquire(Tick when, const char *desc);
+
+    /** Stamp @p slot with the next sequence and enter it in the heap. */
+    EventHandle push(std::uint32_t slot, Tick when, int priority);
+
+    /** Destroy @p slot's callable and return it to the free list. */
+    void release(std::uint32_t slot);
+
+    /** Pop heap entries whose events were descheduled. */
+    void prune() const;
+
+    /** Pop and run the earliest entry, which must be live. */
+    void fire();
+
+    /** Chunks of chunkSize records; records never move. */
+    std::vector<std::unique_ptr<Record[]>> _chunks;
+    std::uint32_t _freeHead = EventHandle::noSlot;
+    std::uint32_t _slots = 0;
+    mutable std::vector<Entry> _heap;
     Tick _curTick = 0;
     std::uint64_t _nextSequence = 0;
     std::uint64_t _processed = 0;

@@ -38,9 +38,6 @@ class SimObject
     StatGroup &stats() { return _stats; }
     const StatGroup &stats() const { return _stats; }
 
-    /** Schedule an event on the shared queue. */
-    void schedule(Event *ev, Tick when) { _eventq.schedule(ev, when); }
-
   private:
     EventQueue &_eventq;
     std::string _name;

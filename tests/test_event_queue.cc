@@ -1,34 +1,65 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, same-tick
- * determinism, deschedule/reschedule, bounded runs, and lambda
- * convenience events.
+ * determinism, deschedule through handles, bounded runs, one-shot
+ * callbacks; fire order against the frozen seed queue
+ * (reference_event_queue.hh) on seeded random schedules; callable
+ * lifetime; and the allocation-free schedule/fire path.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <random>
 #include <vector>
 
+#include "reference_event_queue.hh"
 #include "sim/event_queue.hh"
 
 using namespace qtenon::sim;
 
 namespace {
 
-class RecordingEvent : public Event
+/** Global operator new calls, counted while counting is on. */
+std::atomic<bool> countingNew{false};
+std::atomic<std::uint64_t> newCalls{0};
+
+} // namespace
+
+void *
+operator new(std::size_t n)
 {
-  public:
-    RecordingEvent(std::vector<int> &log, int id,
-                   int priority = Event::defaultPrio)
-        : Event(priority), _log(log), _id(id)
-    {}
+    if (countingNew.load(std::memory_order_relaxed))
+        newCalls.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
 
-    void process() override { _log.push_back(_id); }
+// GCC cannot see that the replacement new above pairs with free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
-  private:
-    std::vector<int> &_log;
-    int _id;
-};
+namespace {
+
+/** operator new calls made while @p fn runs. */
+template <typename F>
+std::uint64_t
+countNews(F &&fn)
+{
+    newCalls = 0;
+    countingNew = true;
+    fn();
+    countingNew = false;
+    return newCalls.load();
+}
 
 } // namespace
 
@@ -36,10 +67,9 @@ TEST(EventQueue, FiresInTickOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent a(log, 1), b(log, 2), c(log, 3);
-    eq.schedule(&c, 300);
-    eq.schedule(&a, 100);
-    eq.schedule(&b, 200);
+    eq.scheduleLambda(300, [&] { log.push_back(3); });
+    eq.scheduleLambda(100, [&] { log.push_back(1); });
+    eq.scheduleLambda(200, [&] { log.push_back(2); });
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), 300u);
@@ -49,10 +79,8 @@ TEST(EventQueue, SameTickIsFifo)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent a(log, 1), b(log, 2), c(log, 3);
-    eq.schedule(&a, 50);
-    eq.schedule(&b, 50);
-    eq.schedule(&c, 50);
+    for (int id = 1; id <= 3; ++id)
+        eq.scheduleLambda(50, [&, id] { log.push_back(id); });
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
@@ -61,10 +89,10 @@ TEST(EventQueue, PriorityBreaksTies)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent low(log, 1, Event::statsPrio);
-    RecordingEvent high(log, 2, Event::clockPrio);
-    eq.schedule(&low, 10);
-    eq.schedule(&high, 10);
+    eq.scheduleLambda(10, [&] { log.push_back(1); }, "low",
+                      EventQueue::statsPrio);
+    eq.scheduleLambda(10, [&] { log.push_back(2); }, "high",
+                      EventQueue::clockPrio);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
 }
@@ -73,34 +101,63 @@ TEST(EventQueue, DescheduleRemovesEvent)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent a(log, 1), b(log, 2);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
-    eq.deschedule(&a);
-    EXPECT_FALSE(a.scheduled());
+    auto a = eq.scheduleLambda(10, [&] { log.push_back(1); });
+    eq.scheduleLambda(20, [&] { log.push_back(2); });
+    EXPECT_TRUE(eq.scheduled(a));
+    EXPECT_TRUE(eq.deschedule(a));
+    EXPECT_FALSE(eq.scheduled(a));
+    EXPECT_EQ(eq.size(), 1u);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2}));
 }
 
 TEST(EventQueue, RescheduleMovesEvent)
 {
+    // Moving an event is a deschedule plus a fresh schedule.
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent a(log, 1), b(log, 2);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
-    eq.reschedule(&a, 30);
+    auto a = eq.scheduleLambda(10, [&] { log.push_back(1); });
+    eq.scheduleLambda(20, [&] { log.push_back(2); });
+    ASSERT_TRUE(eq.deschedule(a));
+    eq.scheduleLambda(30, [&] { log.push_back(1); });
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
+}
+
+TEST(EventQueue, StaleHandleIsCheckedNoOp)
+{
+    EventQueue eq;
+    int fired = 0;
+    auto a = eq.scheduleLambda(10, [&] { ++fired; });
+    eq.run();
+    EXPECT_FALSE(eq.scheduled(a));
+    EXPECT_FALSE(eq.deschedule(a));
+
+    // The slot is recycled for the next event; the old handle must
+    // not reach it.
+    auto b = eq.scheduleLambda(20, [&] { ++fired; });
+    EXPECT_EQ(a.slot, b.slot);
+    EXPECT_FALSE(eq.deschedule(a));
+    EXPECT_TRUE(eq.scheduled(b));
+    EXPECT_FALSE(eq.deschedule(EventHandle{}));
+    eq.run();
+    EXPECT_EQ(fired, 2);
+
+    // A handle is stale while its own callback runs.
+    EventHandle self;
+    self = eq.scheduleLambda(30, [&] {
+        EXPECT_FALSE(eq.scheduled(self));
+        EXPECT_FALSE(eq.deschedule(self));
+    });
+    eq.run();
 }
 
 TEST(EventQueue, RunWithLimitStopsAndAdvancesTime)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent a(log, 1), b(log, 2);
-    eq.schedule(&a, 100);
-    eq.schedule(&b, 500);
+    eq.scheduleLambda(100, [&] { log.push_back(1); });
+    eq.scheduleLambda(500, [&] { log.push_back(2); });
     eq.run(250);
     EXPECT_EQ(log, (std::vector<int>{1}));
     EXPECT_EQ(eq.curTick(), 250u);
@@ -140,23 +197,42 @@ TEST(EventQueue, EventsCanScheduleEvents)
     EXPECT_EQ(fired, (std::vector<Tick>{10, 15}));
 }
 
+TEST(EventQueue, CallbackGrowingTheSlabKeepsRunning)
+{
+    // The firing record must stay put while its callback schedules
+    // enough events to add slab chunks.
+    EventQueue eq;
+    std::array<std::uint64_t, 6> payload{1, 2, 3, 4, 5, 6};
+    std::uint64_t sum = 0;
+    int children = 0;
+    eq.scheduleLambda(1, [&, payload] {
+        for (int i = 0; i < 2000; ++i)
+            eq.scheduleLambda(2, [&] { ++children; });
+        for (auto v : payload)
+            sum += v;
+    });
+    eq.run();
+    EXPECT_EQ(sum, 21u);
+    EXPECT_EQ(children, 2000);
+}
+
 TEST(EventQueue, NextTickReportsEarliestPending)
 {
     EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent a(log, 1);
     EXPECT_EQ(eq.nextTick(), maxTick);
-    eq.schedule(&a, 42);
+    auto a = eq.scheduleLambda(42, [] {});
+    eq.scheduleLambda(50, [] {});
     EXPECT_EQ(eq.nextTick(), 42u);
+    eq.deschedule(a);
+    EXPECT_EQ(eq.nextTick(), 50u);
 }
 
 TEST(EventQueue, StepFiresExactlyOne)
 {
     EventQueue eq;
     std::vector<int> log;
-    RecordingEvent a(log, 1), b(log, 2);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
+    eq.scheduleLambda(10, [&] { log.push_back(1); });
+    eq.scheduleLambda(20, [&] { log.push_back(2); });
     EXPECT_TRUE(eq.step());
     EXPECT_EQ(log.size(), 1u);
     EXPECT_TRUE(eq.step());
@@ -177,17 +253,312 @@ TEST(EventQueueDeath, SchedulingInThePastPanics)
     EventQueue eq;
     eq.scheduleLambda(100, [] {});
     eq.run();
-    std::vector<int> log;
-    RecordingEvent a(log, 1);
-    EXPECT_DEATH(eq.schedule(&a, 50), "in the past");
+    EXPECT_DEATH(eq.scheduleLambda(50, [] {}, "late"), "in the past");
 }
 
-TEST(EventQueueDeath, DoubleSchedulePanics)
+TEST(EventQueueDeath, PriorityOutsideTheBandsPanics)
 {
+    // Priorities share one 64-bit key with the sequence number.
     EventQueue eq;
-    std::vector<int> log;
-    RecordingEvent a(log, 1);
-    eq.schedule(&a, 10);
-    EXPECT_DEATH(eq.schedule(&a, 20), "scheduled twice");
-    eq.deschedule(&a);
+    eq.scheduleLambda(1, [] {}, "lowest", EventQueue::minPriority);
+    eq.scheduleLambda(1, [] {}, "highest", EventQueue::maxPriority);
+    EXPECT_DEATH(eq.scheduleLambda(1, [] {}, "x", 128), "priority");
+    EXPECT_DEATH(eq.scheduleLambda(1, [] {}, "x", -129), "priority");
+}
+
+// ---------------------------------------------------------------------
+// Fire order against the frozen seed queue.
+
+namespace {
+
+constexpr std::array<int, 3> priorities{
+    EventQueue::clockPrio, EventQueue::defaultPrio, EventQueue::statsPrio};
+
+/** sim::EventQueue behind the harness interface. */
+struct SlabQueue {
+    EventQueue q;
+    std::vector<EventHandle> handles;
+
+    template <typename F>
+    void
+    add(std::size_t id, Tick when, int prio, F fn)
+    {
+        handles.resize(id + 1);
+        handles[id] = q.scheduleLambda(when, std::move(fn), "test", prio);
+    }
+
+    bool cancel(std::size_t id) { return q.deschedule(handles[id]); }
+};
+
+/** The seed queue behind the same interface. */
+struct SeedQueue {
+    using Ev = qtenon::tests::reference::LambdaEvent;
+    // Declared before the queue so every event outlives it.
+    std::vector<std::unique_ptr<Ev>> events;
+    qtenon::tests::reference::EventQueue q;
+
+    template <typename F>
+    void
+    add(std::size_t id, Tick when, int prio, F fn)
+    {
+        events.resize(id + 1);
+        events[id] = std::make_unique<Ev>(std::move(fn), "test", prio);
+        q.schedule(events[id].get(), when);
+    }
+
+    bool
+    cancel(std::size_t id)
+    {
+        if (!events[id]->scheduled())
+            return false;
+        q.deschedule(events[id].get());
+        return true;
+    }
+};
+
+struct Fired {
+    std::size_t id;
+    Tick tick;
+    bool operator==(const Fired &) const = default;
+};
+
+/**
+ * Seeded random schedule: events land on a narrow tick range (so
+ * ticks collide) with a random priority; firing events schedule
+ * children, some at curTick(), and cancel random earlier events.
+ * Both queues consume the generator identically while their fire
+ * orders agree.
+ */
+template <typename Q>
+struct Harness {
+    Q queue;
+    std::mt19937_64 rng;
+    std::vector<Fired> fired;
+    std::vector<bool> cancels;
+    std::size_t budget;
+
+    Harness(std::uint64_t seed, std::size_t max_events)
+        : rng(seed), budget(max_events)
+    {}
+
+    void
+    add(Tick when)
+    {
+        if (nextId == budget)
+            return;
+        const std::size_t id = nextId++;
+        const int prio = priorities[rng() % priorities.size()];
+        queue.add(id, when, prio, [this, id] { onFire(id); });
+    }
+
+    void
+    cancelRandom()
+    {
+        if (nextId)
+            cancels.push_back(queue.cancel(rng() % nextId));
+    }
+
+    void
+    onFire(std::size_t id)
+    {
+        const Tick now = queue.q.curTick();
+        fired.push_back({id, now});
+        for (std::uint64_t k = rng() % 3; k > 0; --k)
+            add(now + (rng() % 4 == 0 ? 0 : rng() % 40));
+        if (rng() % 5 == 0)
+            cancelRandom();
+    }
+
+  private:
+    std::size_t nextId = 0;
+};
+
+void
+expectSameState(const Harness<SlabQueue> &a, const Harness<SeedQueue> &b)
+{
+    ASSERT_EQ(a.queue.q.curTick(), b.queue.q.curTick());
+    ASSERT_EQ(a.queue.q.eventsProcessed(), b.queue.q.eventsProcessed());
+    ASSERT_EQ(a.queue.q.nextTick(), b.queue.q.nextTick());
+    ASSERT_EQ(a.queue.q.size(), b.queue.q.size());
+    ASSERT_EQ(a.queue.q.empty(), b.queue.q.empty());
+    ASSERT_EQ(a.fired, b.fired);
+    ASSERT_EQ(a.cancels, b.cancels);
+}
+
+} // namespace
+
+TEST(EventQueueReference, SeededSchedulesMatchSeedQueue)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE(seed);
+        Harness<SlabQueue> slab(seed, 3000);
+        Harness<SeedQueue> ref(seed, 3000);
+        std::mt19937_64 ops(seed * 0x9e3779b97f4a7c15ull);
+
+        for (int i = 0; i < 64; ++i) {
+            const Tick when = ops() % 200;
+            slab.add(when);
+            ref.add(when);
+        }
+        for (int i = 0; i < 300; ++i) {
+            switch (ops() % 5) {
+              case 0: {
+                const Tick limit = slab.queue.q.curTick() + ops() % 60;
+                ASSERT_EQ(slab.queue.q.run(limit), ref.queue.q.run(limit));
+                break;
+              }
+              case 1:
+                ASSERT_EQ(slab.queue.q.step(), ref.queue.q.step());
+                break;
+              case 2: {
+                // From outside, sometimes at exactly curTick().
+                const Tick when = slab.queue.q.curTick() +
+                    (ops() % 3 == 0 ? 0 : ops() % 30);
+                slab.add(when);
+                ref.add(when);
+                break;
+              }
+              case 3:
+                slab.cancelRandom();
+                ref.cancelRandom();
+                break;
+              default:
+                break;
+            }
+            expectSameState(slab, ref);
+        }
+        ASSERT_EQ(slab.queue.q.run(), ref.queue.q.run());
+        expectSameState(slab, ref);
+        EXPECT_GT(slab.fired.size(), 100u);
+        EXPECT_FALSE(slab.cancels.empty());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Callable lifetime and storage.
+
+namespace {
+
+/** Counts live instances; a moved-from token owns nothing. */
+class Token
+{
+  public:
+    explicit Token(int *live) : _live(live) { ++*_live; }
+    Token(Token &&o) noexcept : _live(o._live) { o._live = nullptr; }
+    Token(const Token &o) : _live(o._live) { ++*_live; }
+    Token &operator=(const Token &) = delete;
+    Token &operator=(Token &&) = delete;
+    ~Token()
+    {
+        if (_live)
+            --*_live;
+    }
+
+  private:
+    int *_live;
+};
+
+} // namespace
+
+TEST(EventQueue, PendingCallablesDestroyedExactlyOnce)
+{
+    int live = 0;
+    int fired = 0;
+    {
+        EventQueue eq;
+        std::vector<EventHandle> handles;
+        for (int i = 0; i < 600; ++i) {
+            handles.push_back(eq.scheduleLambda(
+                1 + i % 7, [&fired, t = Token(&live)] { ++fired; }));
+        }
+        EXPECT_EQ(live, 600);
+        for (int i = 0; i < 600; i += 3)
+            eq.deschedule(handles[i]);
+        EXPECT_EQ(live, 400); // descheduled: destroyed at once
+        eq.run(3);
+        EXPECT_EQ(live, 400 - fired); // fired: destroyed after firing
+        EXPECT_GT(fired, 0);
+    }
+    EXPECT_EQ(live, 0); // still pending: destroyed with the queue
+}
+
+TEST(EventQueue, OversizedCaptureTakesHeapFallback)
+{
+    struct Big {
+        std::array<std::uint64_t, 16> words;
+    };
+    static_assert(sizeof(Big) > EventQueue::inlineCapacity);
+    static_assert(!EventQueue::Callback::fitsInline<Big>);
+
+    EventQueue eq;
+    eq.scheduleLambda(1, [] {}); // grow the slab and heap first
+    eq.run();
+
+    Big big{};
+    for (std::size_t i = 0; i < big.words.size(); ++i)
+        big.words[i] = i * i;
+    std::uint64_t sum = 0;
+    int live = 0;
+    const auto allocs = countNews([&] {
+        eq.scheduleLambda(2, [&sum, big, t = Token(&live)] {
+            for (auto w : big.words)
+                sum += w;
+        });
+    });
+    EXPECT_EQ(allocs, 1u);
+    EXPECT_EQ(live, 1);
+    eq.run();
+    EXPECT_EQ(sum, 1240u);
+    EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueue, InlineCapturesScheduleAndFireWithoutAllocating)
+{
+    struct Capture {
+        std::uint64_t a, b, c, d;
+        std::uint64_t *out;
+    };
+    static_assert(sizeof(Capture) == 40);
+    static_assert(EventQueue::Callback::fitsInline<Capture>);
+
+    EventQueue eq;
+    std::uint64_t out = 0;
+    const auto cycle = [&](std::uint64_t i) {
+        Capture c{i, i + 1, i + 2, i + 3, &out};
+        eq.scheduleLambda(eq.curTick() + i % 3,
+                          [c] { *c.out += c.a + c.b + c.c + c.d; });
+        eq.scheduleLambda(eq.curTick() + 1, [c] { *c.out ^= c.a; });
+        eq.run();
+    };
+    for (std::uint64_t i = 0; i < 1000; ++i) // warm-up
+        cycle(i);
+    const auto allocs = countNews([&] {
+        for (std::uint64_t i = 0; i < 100000; ++i)
+            cycle(i);
+    });
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_NE(out, 0u);
+    EXPECT_EQ(eq.eventsProcessed(), 2u * 101000u);
+}
+
+TEST(InlineFn, MoveOnlyAndMutableTargets)
+{
+    InlineFn<int(int)> f = [p = std::make_unique<int>(5)](int x) {
+        return *p + x;
+    };
+    EXPECT_EQ(f(2), 7);
+    InlineFn<int(int)> g = std::move(f);
+    EXPECT_FALSE(f);
+    EXPECT_EQ(g(3), 8);
+
+    InlineFn<int()> counter = [n = 0]() mutable { return ++n; };
+    counter();
+    EXPECT_EQ(counter(), 2);
+
+    // A trivially copyable target relocates by memcpy.
+    InlineFn<std::uint64_t()> t = [a = std::uint64_t(9)] { return a; };
+    auto u = std::move(t);
+    EXPECT_EQ(u(), 9u);
+    u.reset();
+    EXPECT_FALSE(u);
 }
