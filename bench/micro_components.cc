@@ -2,7 +2,8 @@
  * @file
  * Component microbenchmarks (google-benchmark): statevector gate
  * throughput, mean-field evolution, SLT lookups, the pulse pipeline,
- * cache accesses, bus transactions, and entry packing. These measure
+ * cache accesses, bus transactions, the q_acquire PUT, and entry
+ * packing. These measure
  * simulator performance, complementing the modeled-time figure
  * benches.
  */
@@ -12,6 +13,7 @@
 #include "controller/pipeline.hh"
 #include "controller/program_entry.hh"
 #include "controller/slt.hh"
+#include "core/qtenon_system.hh"
 #include "memory/cache.hh"
 #include "memory/dram.hh"
 #include "memory/tilelink.hh"
@@ -259,6 +261,34 @@ BM_TileLinkTransaction(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TileLinkTransaction);
+
+static void
+BM_DmaAcquireHit(benchmark::State &state)
+{
+    // One 64-qubit batched measurement PUT (eight 64-bit words, one
+    // bus chunk) into an L2-resident line, fired as its own event the
+    // way the executor's q_run PUT is: the per-PUT cost of the
+    // timing replay.
+    core::QtenonSystem sys;
+    auto &eq = sys.eventQueue();
+    auto &ctrl = sys.controller();
+    const std::uint64_t addr = 0x80000000ull;
+    std::uint64_t fin = 0;
+    auto put = [&] {
+        eq.scheduleLambda(eq.curTick() + 1000, [&] {
+            ctrl.dmaAcquire(addr, 0, 8,
+                            [&fin](sim::Tick t) { fin = t; });
+        });
+        eq.run();
+    };
+    put(); // warm the line
+    for (auto _ : state) {
+        put();
+        benchmark::DoNotOptimize(fin);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DmaAcquireHit);
 
 static void
 BM_EventQueueScheduleFire(benchmark::State &state)

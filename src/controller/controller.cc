@@ -316,7 +316,6 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
                                       "bytes moved by q_acquire");
         c.add(total_bytes);
     }
-    _barrier.declare(host_addr, total_bytes);
 
     // Read the .measure SRAM (port-serialized), then PUT to host.
     _qcc->portAccess(num_entries);
@@ -334,19 +333,24 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
         pkt.size = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(chunk, total_bytes - c * chunk));
 
-        _bus->accessTagged(pkt,
-            [this, op](const memory::BusResponse &resp) {
-                DmaOp &o = _dmaOps[op];
-                o.latest = std::max(o.latest, resp.completed);
-                if (--o.remaining == 0)
-                    finishDma(op, o.latest);
-            },
-            [this, addr = pkt.addr, size = pkt.size](std::uint8_t,
-                                                     sim::Tick) {
-                // The barrier goes valid once the PUT has been sent
-                // through the system bus (Sec. 6.2).
-                _barrier.markSynced(addr, size);
-            });
+        auto on_done = [this, op](const memory::BusResponse &resp) {
+            DmaOp &o = _dmaOps[op];
+            o.latest = std::max(o.latest, resp.completed);
+            if (--o.remaining == 0)
+                finishDma(op, o.latest);
+        };
+        auto on_issue = [this, addr = pkt.addr,
+                         size = pkt.size](std::uint8_t, sim::Tick) {
+            // The barrier goes valid once the PUT has been sent
+            // through the system bus (Sec. 6.2).
+            _barrier.markSynced(addr, size);
+        };
+        // A lone chunk is the caller's last action (see the header),
+        // so the bus may complete it in place.
+        if (num_chunks == 1)
+            _bus->accessTaggedLast(pkt, on_done, on_issue);
+        else
+            _bus->accessTagged(pkt, on_done, on_issue);
     }
 }
 

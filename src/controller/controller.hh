@@ -133,6 +133,11 @@ class QuantumController : public sim::Clocked
      * q_acquire: transfer @p num_entries of .measure starting at
      * @p first_entry to host memory at @p host_addr. Marks the host
      * range synced in the barrier as each PUT leaves on the bus.
+     *
+     * Called inside an event, this must be the event's last action:
+     * a single-chunk PUT may complete in place
+     * (TileLinkBus::accessTaggedLast), running @p done and moving
+     * curTick() to the completion tick before it returns.
      */
     void dmaAcquire(std::uint64_t host_addr, std::uint32_t first_entry,
                     std::uint32_t num_entries, DoneCallback done);

@@ -30,15 +30,33 @@ Cache::Cache(sim::EventQueue &eq, std::string name,
 bool
 Cache::probe(std::uint64_t addr) const
 {
-    const auto line = lineAddr(addr);
-    const auto set = setOf(line);
-    const auto tag = tagOf(line);
+    return findLine(lineAddr(addr)) != nullptr;
+}
+
+const Cache::Line *
+Cache::findLine(std::uint64_t line_addr) const
+{
+    const auto set = setOf(line_addr);
+    const auto tag = tagOf(line_addr);
     for (std::uint32_t w = 0; w < _cfg.associativity; ++w) {
         const auto &l = _lines[set * _cfg.associativity + w];
         if (l.valid && l.tag == tag)
-            return true;
+            return &l;
     }
-    return false;
+    return nullptr;
+}
+
+void
+Cache::touchHit(Line &l, bool is_write)
+{
+    ++hits;
+    if (obs::metricsEnabled()) {
+        static auto &c = obs::counter("mem.cache.hits", "cache hits");
+        c.inc();
+    }
+    l.lastUse = ++_useCounter;
+    if (is_write)
+        l.dirty = true;
 }
 
 void
@@ -77,25 +95,14 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write,
     const sim::Tick start = std::max(now, _portFree);
     _portFree = start + _clock.cyclesToTicks(_cfg.portBusy);
 
-    for (std::uint32_t w = 0; w < _cfg.associativity; ++w) {
-        auto &l = _lines[set * _cfg.associativity + w];
-        if (l.valid && l.tag == tag) {
-            ++hits;
-            if (obs::metricsEnabled()) {
-                static auto &c = obs::counter("mem.cache.hits",
-                                              "cache hits");
-                c.inc();
-            }
-            l.lastUse = ++_useCounter;
-            if (is_write)
-                l.dirty = true;
-            const sim::Tick done =
-                start + _clock.cyclesToTicks(_cfg.hitLatency);
-            eventq().scheduleLambda(done,
-                [cb = std::move(on_complete), done] { cb(done); },
-                "cache hit");
-            return;
-        }
+    if (Line *l = findLine(line_addr)) {
+        touchHit(*l, is_write);
+        const sim::Tick done =
+            start + _clock.cyclesToTicks(_cfg.hitLatency);
+        eventq().scheduleLambda(done,
+            [cb = std::move(on_complete), done] { cb(done); },
+            "cache hit");
+        return;
     }
 
     // Miss: evict, fetch the line downstream, then respond.
@@ -158,6 +165,27 @@ Cache::complete(std::uint32_t slot, sim::Tick done)
     const sim::Tick latest = w.latest;
     _waiters.release(slot);
     cb(latest);
+}
+
+bool
+Cache::accessHitBefore(const MemPacket &pkt, sim::Tick arrive,
+                       sim::Tick limit, sim::Tick &done)
+{
+    const auto line = lineAddr(pkt.addr);
+    if (line != lineAddr(pkt.addr + std::max(1u, pkt.size) - 1))
+        return false;
+    Line *l = findLine(line);
+    if (!l)
+        return false;
+    // accessLine()'s port serialization and hit latency, at arrive.
+    const sim::Tick start = std::max(arrive, _portFree);
+    const sim::Tick fin = start + _clock.cyclesToTicks(_cfg.hitLatency);
+    if (fin >= limit)
+        return false;
+    _portFree = start + _clock.cyclesToTicks(_cfg.portBusy);
+    touchHit(*l, pkt.isWrite());
+    done = fin;
+    return true;
 }
 
 void

@@ -42,6 +42,10 @@ class Cache : public sim::SimObject, public MemDevice
 
     void access(const MemPacket &pkt, MemCallback on_complete) override;
 
+    /** Single-line hits only; see MemDevice::accessHitBefore. */
+    bool accessHitBefore(const MemPacket &pkt, sim::Tick arrive,
+                         sim::Tick limit, sim::Tick &done) override;
+
     const CacheConfig &config() const { return _cfg; }
     std::uint32_t numSets() const { return _numSets; }
 
@@ -89,6 +93,18 @@ class Cache : public sim::SimObject, public MemDevice
      */
     void accessLine(std::uint64_t line_addr, bool is_write,
                     MemCallback on_complete);
+
+    /** The valid line holding @p line_addr, or nullptr. */
+    const Line *findLine(std::uint64_t line_addr) const;
+    Line *
+    findLine(std::uint64_t line_addr)
+    {
+        return const_cast<Line *>(
+            static_cast<const Cache *>(this)->findLine(line_addr));
+    }
+
+    /** Count a hit on @p l and update its LRU and dirty state. */
+    void touchHit(Line &l, bool is_write);
 
     /** Find a victim way in @p set (LRU, invalid first). */
     std::uint32_t victimWay(std::uint32_t set) const;

@@ -45,6 +45,23 @@ class MemDevice
     /** Issue a request; @p on_complete fires when it finishes. */
     virtual void access(const MemPacket &pkt,
                         MemCallback on_complete) = 0;
+
+    /**
+     * Serve @p pkt as though access() were called at tick @p arrive,
+     * without scheduling anything, if it hits and its completion
+     * tick is below @p limit. On success, commits exactly the state
+     * access() would, stores the completion tick in @p done and
+     * returns true. Otherwise changes nothing and returns false.
+     *
+     * The caller guarantees no event fires before @p done, so no
+     * other access can come between. The default never hits.
+     */
+    virtual bool
+    accessHitBefore(const MemPacket & /*pkt*/, sim::Tick /*arrive*/,
+                    sim::Tick /*limit*/, sim::Tick & /*done*/)
+    {
+        return false;
+    }
 };
 
 } // namespace qtenon::memory

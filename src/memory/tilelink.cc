@@ -113,6 +113,83 @@ TileLinkBus::observeTransaction(const MemPacket &pkt,
 }
 
 void
+TileLinkBus::accessTaggedLast(const MemPacket &pkt,
+                              TaggedCallback on_complete,
+                              IssueCallback on_issue)
+{
+    // Requests wait only while every tag is held, so a free tag also
+    // means nobody is queued ahead of this one.
+    auto *inj = _port->injector();
+    if (_freeTagMask == 0 || (inj && inj->active(_port->siteId()))) {
+        accessTagged(pkt, std::move(on_complete), std::move(on_issue));
+        return;
+    }
+    sim::Tick arrive = 0;
+    const std::uint8_t tag = issue(
+        Pending{pkt, std::move(on_complete), std::move(on_issue)},
+        arrive);
+    // The response follows the downstream completion by one channel
+    // traversal; it must land strictly before the horizon.
+    const sim::Tick channel =
+        clockDomain().cyclesToTicks(_cfg.channelLatency);
+    const sim::Tick horizon = eventq().horizon();
+    sim::Tick down_done = 0;
+    if (horizon > channel &&
+        _downstream->accessHitBefore(pkt, arrive, horizon - channel,
+                                     down_done)) {
+        const sim::Tick done = down_done + channel;
+        if (!eventq().tryAdvance(done))
+            sim::panic("bus '", name(), "': private completion at ",
+                       done, " refused");
+        respond(tag, done);
+        return;
+    }
+    issueDownstream(tag, arrive);
+}
+
+std::uint8_t
+TileLinkBus::issue(Pending &&p, sim::Tick &arrive)
+{
+    const std::uint8_t tag = allocateTag();
+    tagOccupancy.sample(static_cast<double>(numTags() - freeTags()));
+    if (obs::metricsEnabled()) {
+        static auto &occ = obs::histogram(
+            "mem.bus.tag_occupancy", "tags in use when issuing");
+        occ.record(numTags() - freeTags());
+    }
+    if (p.issueCb)
+        p.issueCb(tag, curTick());
+
+    const sim::Cycles req_beats = beatsFor(p.pkt.size);
+    beats += static_cast<double>(req_beats);
+    if (obs::metricsEnabled()) {
+        static auto &c = obs::counter(
+            "mem.bus.beats", "request beats transferred");
+        c.add(req_beats);
+    }
+
+    const sim::Tick now = curTick();
+    sim::Tick start = std::max(now, _requestChannelFree);
+    auto *inj = _port->injector();
+    const fault::SiteId site = _port->siteId();
+    if (inj && inj->active(site) && inj->shouldStall(site)) {
+        // An injected stall occupies the request channel, so it
+        // back-pressures every queued transaction behind it.
+        start += inj->faults(site).stallTicks;
+    }
+    _requestChannelFree = start + clockDomain().cyclesToTicks(req_beats);
+    arrive = _requestChannelFree +
+        clockDomain().cyclesToTicks(_cfg.channelLatency);
+
+    InFlight &f = _inFlight[tag];
+    f.pkt = p.pkt;
+    f.cb = std::move(p.cb);
+    f.issued = now;
+    f.attempt = 1;
+    return tag;
+}
+
+void
 TileLinkBus::tryIssue()
 {
     while (_waitingHead < _waiting.size() && _freeTagMask != 0) {
@@ -122,45 +199,8 @@ TileLinkBus::tryIssue()
             _waiting.clear();
             _waitingHead = 0;
         }
-
-        const std::uint8_t tag = allocateTag();
-        tagOccupancy.sample(
-            static_cast<double>(numTags() - freeTags()));
-        if (obs::metricsEnabled()) {
-            static auto &occ = obs::histogram(
-                "mem.bus.tag_occupancy", "tags in use when issuing");
-            occ.record(numTags() - freeTags());
-        }
-        if (p.issueCb)
-            p.issueCb(tag, curTick());
-
-        const sim::Cycles req_beats = beatsFor(p.pkt.size);
-        beats += static_cast<double>(req_beats);
-        if (obs::metricsEnabled()) {
-            static auto &c = obs::counter(
-                "mem.bus.beats", "request beats transferred");
-            c.add(req_beats);
-        }
-
-        const sim::Tick now = curTick();
-        sim::Tick start = std::max(now, _requestChannelFree);
-        auto *inj = _port->injector();
-        const fault::SiteId site = _port->siteId();
-        if (inj && inj->active(site) && inj->shouldStall(site)) {
-            // An injected stall occupies the request channel, so it
-            // back-pressures every queued transaction behind it.
-            start += inj->faults(site).stallTicks;
-        }
-        _requestChannelFree = start +
-            clockDomain().cyclesToTicks(req_beats);
-        const sim::Tick arrive = _requestChannelFree +
-            clockDomain().cyclesToTicks(_cfg.channelLatency);
-
-        InFlight &f = _inFlight[tag];
-        f.pkt = p.pkt;
-        f.cb = std::move(p.cb);
-        f.issued = now;
-        f.attempt = 1;
+        sim::Tick arrive = 0;
+        const std::uint8_t tag = issue(std::move(p), arrive);
         issueDownstream(tag, arrive);
     }
 }

@@ -84,6 +84,21 @@ class TileLinkBus : public sim::Clocked, public MemDevice
     void accessTagged(const MemPacket &pkt, TaggedCallback on_complete,
                       IssueCallback on_issue = nullptr);
 
+    /**
+     * accessTagged() for a request that is the enclosing event's
+     * last action. When the whole transaction is private (a free tag
+     * and no queue, no active injector, a downstream hit, and no
+     * event or run() limit at or before the response tick), it
+     * completes in place: time moves to the response tick and
+     * @p on_complete runs there, with every counter and callback as
+     * the event path would produce. Otherwise it is accessTagged().
+     * Anything the caller did after this call would run at the
+     * response tick instead of now (DESIGN.md "Private completions").
+     */
+    void accessTaggedLast(const MemPacket &pkt,
+                          TaggedCallback on_complete,
+                          IssueCallback on_issue = nullptr);
+
     const TileLinkConfig &config() const { return _cfg; }
     std::uint32_t numTags() const { return 1u << _cfg.tagBits; }
     std::uint32_t freeTags() const;
@@ -120,6 +135,15 @@ class TileLinkBus : public sim::Clocked, public MemDevice
 
     void tryIssue();
     std::uint8_t allocateTag();
+
+    /**
+     * Issue @p p now on a free tag: occupancy sample, issue callback,
+     * beats, request-channel serialization, and the in-flight slot,
+     * which takes @p p's completion callback. Returns the tag;
+     * @p arrive gets the tick the request reaches the downstream
+     * device.
+     */
+    std::uint8_t issue(Pending &&p, sim::Tick &arrive);
 
     /**
      * Hand the transaction on @p tag to the downstream device at

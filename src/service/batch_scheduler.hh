@@ -29,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "job.hh"
@@ -195,7 +196,8 @@ class BatchScheduler
     std::condition_variable _workAvailable;
     std::condition_variable _batchDone;
     std::deque<std::shared_ptr<Job>> _queue;
-    std::vector<std::shared_ptr<Job>> _jobs;
+    /** Unfinished jobs by id, for cancel(); finishJob() removes. */
+    std::unordered_map<std::uint64_t, std::shared_ptr<Job>> _jobs;
     bool _stopping = false;
     std::uint64_t _nextJobId = 0;
     std::size_t _inFlight = 0;

@@ -123,9 +123,41 @@ EventQueue::step()
     return true;
 }
 
+Tick
+EventQueue::horizon() const
+{
+    if (!_running)
+        return 0;
+    const Tick end = _runLimit == maxTick ? maxTick : _runLimit + 1;
+    return std::min(nextTick(), end);
+}
+
+bool
+EventQueue::tryAdvance(Tick t)
+{
+    if (t < _curTick || t >= horizon())
+        return false;
+    _curTick = t;
+    return true;
+}
+
 std::uint64_t
 EventQueue::run(Tick limit)
 {
+    // Restored on every way out (a callback may throw), so a run()
+    // nested in a callback hands the outer run its own limit back.
+    struct Scope {
+        EventQueue &q;
+        bool running;
+        Tick limit;
+        ~Scope()
+        {
+            q._running = running;
+            q._runLimit = limit;
+        }
+    } scope{*this, _running, _runLimit};
+    _running = true;
+    _runLimit = limit;
     std::uint64_t fired = 0;
     while (true) {
         prune();

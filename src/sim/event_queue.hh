@@ -115,6 +115,24 @@ class EventQueue
     /** Fire exactly one event. Returns false if the queue is empty. */
     bool step();
 
+    /**
+     * The first tick no one may skip to without an event. Inside
+     * run(limit) it is min(nextTick(), limit + 1): a pending event
+     * (whose sequence number is lower than anything scheduled now)
+     * would fire at its tick before any new event there, and run()
+     * must stop at its limit. Outside run() it is 0, so nothing may
+     * move time without an event.
+     */
+    Tick horizon() const;
+
+    /**
+     * Move curTick() to @p t without firing an event. Succeeds only
+     * where no event and no run() limit can observe the jump:
+     * curTick() <= t < horizon(). The caller must make this its
+     * event's last action (DESIGN.md "Private completions").
+     */
+    bool tryAdvance(Tick t);
+
     /** Total number of events processed so far. */
     std::uint64_t eventsProcessed() const { return _processed; }
 
@@ -182,6 +200,9 @@ class EventQueue
     std::uint32_t _slots = 0;
     mutable std::vector<Entry> _heap;
     Tick _curTick = 0;
+    /** Inside run(): its limit, so horizon() can bound the jump. */
+    bool _running = false;
+    Tick _runLimit = 0;
     std::uint64_t _nextSequence = 0;
     std::uint64_t _processed = 0;
     std::size_t _live = 0;

@@ -562,3 +562,97 @@ TEST(InlineFn, MoveOnlyAndMutableTargets)
     u.reset();
     EXPECT_FALSE(u);
 }
+
+TEST(EventQueueAdvance, RefusedOutsideRun)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.horizon(), 0u);
+    EXPECT_FALSE(eq.tryAdvance(0));
+    EXPECT_FALSE(eq.tryAdvance(5));
+    eq.scheduleLambda(10, [] {});
+    EXPECT_EQ(eq.horizon(), 0u);
+    EXPECT_FALSE(eq.tryAdvance(3));
+    EXPECT_EQ(eq.curTick(), 0u);
+
+    // step() fires one event but is not a run(): still refused.
+    bool refused = false;
+    eq.scheduleLambda(20, [&] { refused = !eq.tryAdvance(21); });
+    EXPECT_TRUE(eq.step());
+    EXPECT_TRUE(eq.step());
+    EXPECT_TRUE(refused);
+    EXPECT_EQ(eq.curTick(), 20u);
+    EXPECT_EQ(eq.horizon(), 0u);
+}
+
+TEST(EventQueueAdvance, BoundedByTheNextEvent)
+{
+    EventQueue eq;
+    Tick horizon = 0;
+    bool at_next = true, before_next = false, backwards = true;
+    Tick advanced_to = 0;
+    eq.scheduleLambda(10, [&] {
+        horizon = eq.horizon();
+        // An event already pending at 50 has a lower sequence than
+        // anything scheduled now, so 50 itself is off limits.
+        at_next = eq.tryAdvance(50);
+        backwards = eq.tryAdvance(9);
+        before_next = eq.tryAdvance(49);
+        advanced_to = eq.curTick();
+    });
+    std::vector<Tick> fired_at;
+    eq.scheduleLambda(50, [&] { fired_at.push_back(eq.curTick()); });
+    eq.run();
+    EXPECT_EQ(horizon, 50u);
+    EXPECT_FALSE(at_next);
+    EXPECT_FALSE(backwards);
+    EXPECT_TRUE(before_next);
+    EXPECT_EQ(advanced_to, 49u);
+    EXPECT_EQ(fired_at, std::vector<Tick>{50});
+    EXPECT_EQ(eq.horizon(), 0u);
+}
+
+TEST(EventQueueAdvance, BoundedByTheRunLimit)
+{
+    EventQueue eq;
+    Tick horizon = 0;
+    bool past_limit = true, at_limit = false;
+    eq.scheduleLambda(10, [&] {
+        horizon = eq.horizon();
+        past_limit = eq.tryAdvance(101);
+        at_limit = eq.tryAdvance(100);
+    });
+    eq.scheduleLambda(500, [] {});
+    eq.run(100);
+    EXPECT_EQ(horizon, 101u);
+    EXPECT_FALSE(past_limit);
+    EXPECT_TRUE(at_limit);
+    EXPECT_EQ(eq.curTick(), 100u);
+    EXPECT_EQ(eq.size(), 1u);
+
+    // With nothing pending an unbounded run has no horizon below
+    // maxTick, and an advance to the current tick is allowed.
+    EventQueue open;
+    Tick open_horizon = 0;
+    bool same_tick = false;
+    open.scheduleLambda(7, [&] {
+        open_horizon = open.horizon();
+        same_tick = open.tryAdvance(7);
+    });
+    open.run();
+    EXPECT_EQ(open_horizon, maxTick);
+    EXPECT_TRUE(same_tick);
+}
+
+TEST(EventQueueAdvance, NestedRunRestoresTheOuterLimit)
+{
+    EventQueue eq;
+    Tick inner = 0, outer = 0;
+    eq.scheduleLambda(10, [&] {
+        eq.scheduleLambda(12, [&] { inner = eq.horizon(); });
+        eq.run(15);
+        outer = eq.horizon();
+    });
+    eq.run(1000);
+    EXPECT_EQ(inner, 16u);
+    EXPECT_EQ(outer, 1001u);
+}

@@ -607,3 +607,36 @@ TEST(Scheduler, MetricsAccountEveryJob)
     EXPECT_GT(m.totalSimTicks, 0u);
     EXPECT_GT(m.speedup(), 0.0);
 }
+
+TEST(Scheduler, FinishedJobsAreReleased)
+{
+    // A long-lived scheduler (qtenond owns one for its lifetime) must
+    // not keep finished jobs: each spec, and whatever its custom
+    // body captured, is gone once wait() returns.
+    SchedulerConfig cfg;
+    cfg.workers = 3;
+    BatchScheduler sched(cfg);
+    auto sentinel = std::make_shared<int>(0);
+    std::vector<std::uint64_t> ids;
+    {
+        std::vector<JobSpec> specs(12);
+        for (auto &spec : specs)
+            spec.custom = [sentinel](JobContext &) {};
+        for (const auto &h : sched.submitAll(std::move(specs)))
+            ids.push_back(h.id);
+    }
+    sched.wait();
+    EXPECT_EQ(sentinel.use_count(), 1);
+    EXPECT_EQ(sched.metrics().ok, ids.size());
+    // Finished jobs are unknown to cancel(), as before.
+    for (const auto id : ids)
+        EXPECT_FALSE(sched.cancel(id));
+    sched.cancelAll();
+
+    // The scheduler keeps working after its first batch drained.
+    JobSpec again;
+    again.custom = [sentinel](JobContext &) {};
+    sched.submit(std::move(again));
+    sched.wait();
+    EXPECT_EQ(sentinel.use_count(), 1);
+}
